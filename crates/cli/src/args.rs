@@ -84,6 +84,8 @@ pub enum SolverKind {
 /// A parsed command.
 #[derive(Debug, PartialEq)]
 pub enum Command {
+    /// Print the usage banner (`drp help`, `drp --help`, `drp -h`).
+    Help,
     /// Generate a synthetic instance.
     Generate {
         /// Number of sites.
@@ -286,7 +288,7 @@ fn parse_solver(value: &str) -> Result<SolverKind, CliError> {
     })
 }
 
-/// Parses one `--crash SITE@FROM..UNTIL` window.
+/// Parses one `--policy` name.
 fn parse_policy(value: &str) -> Result<ServePolicy, CliError> {
     Ok(match value {
         "static" => ServePolicy::Static,
@@ -335,6 +337,7 @@ fn parse_drift(value: &str) -> Result<(f64, f64, f64), CliError> {
     Ok((change, objects, read_share))
 }
 
+/// Parses one `--crash SITE@FROM..UNTIL` window.
 fn parse_crash(value: &str) -> Result<(usize, u64, u64), CliError> {
     let usage = || {
         CliError::Usage(format!(
@@ -365,6 +368,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     };
     let mut stream = ArgStream { args, index: 0 };
     match verb.as_str() {
+        "help" | "--help" | "-h" => match args.get(1) {
+            None => Ok(Command::Help),
+            Some(extra) => Err(CliError::Usage(format!(
+                "unexpected argument `{extra}` after `{verb}`"
+            ))),
+        },
         "generate" => {
             let (mut sites, mut objects) = (None, None);
             let (mut update, mut capacity) = (5.0f64, 15.0f64);
@@ -904,6 +913,48 @@ mod tests {
         assert!(parse(&argv("evaluate --instance a.drp")).is_err());
         assert!(parse(&argv("adapt --instance a.drp --scheme s.drp")).is_err());
         assert!(parse(&argv("generate --sites")).is_err());
+    }
+
+    #[test]
+    fn help_parses_and_prints_usage() {
+        for line in ["help", "--help", "-h"] {
+            assert_eq!(parse(&argv(line)).unwrap(), Command::Help, "{line}");
+            assert_eq!(
+                crate::run(&argv(line)).unwrap(),
+                format!("{}\n", crate::USAGE)
+            );
+        }
+        for line in ["help --bogus", "-h generate x", "--help help"] {
+            assert!(
+                matches!(parse(&argv(line)), Err(CliError::Usage(_))),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_serve_option() {
+        let usage = crate::USAGE;
+        for policy in [
+            "static",
+            "monitor",
+            "adr",
+            "predictive-ewma",
+            "predictive-regression",
+        ] {
+            assert!(parse_policy(policy).is_ok(), "{policy}");
+            assert!(usage.contains(policy), "usage omits policy {policy}");
+        }
+        for scenario in Scenario::ALL {
+            assert!(
+                usage.contains(scenario.name()),
+                "usage omits {}",
+                scenario.name()
+            );
+        }
+        for flag in ["--scenario", "--oracle", "--threads", "--wal-dir", "--help"] {
+            assert!(usage.contains(flag), "usage omits {flag}");
+        }
     }
 
     #[test]

@@ -135,6 +135,10 @@ impl ReplicationAlgorithm for RecordedSra {
 pub fn run_command(command: Command) -> Result<String, CliError> {
     let mut out = String::new();
     match command {
+        Command::Help => {
+            out.push_str(crate::USAGE);
+            out.push('\n');
+        }
         Command::Generate {
             sites,
             objects,

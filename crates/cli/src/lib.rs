@@ -12,6 +12,7 @@
 //! drp faults   --instance net.drp --crash 2@80..380 --seed 17
 //! drp serve    --instance net.drp --policy monitor --epochs 4 --drift 600:30:0.8
 //! drp inspect  --instance net.drp
+//! drp help
 //! ```
 
 mod args;
@@ -20,9 +21,10 @@ mod commands;
 pub use args::{parse, CliError, Command, ServePolicy};
 pub use commands::run_command;
 
-/// Usage banner printed on argument errors.
+/// Usage banner printed by `drp help` and on argument errors.
 pub const USAGE: &str = "\
 usage:
+  drp help | --help | -h
   drp generate --sites M --objects N [--update U%] [--capacity C%]
                [--topology complete|ring|tree|grid|er|waxman|hier] [--zipf S]
                [--seed N] [-o FILE]
@@ -37,12 +39,18 @@ usage:
                [--horizon T] [--trace-out FILE]
   drp adapt    --instance FILE --new-instance FILE --scheme FILE
                [--mini N] [--threshold PCT] [--seed N] [-o FILE]
-  drp serve    --instance FILE [--policy static|monitor|adr] [--epochs N]
-               [--period T] [--seed N] [--night-every K] [--admission-limit N]
-               [--threads N]
+  drp serve    --instance FILE
+               [--policy static|monitor|adr|predictive-ewma|predictive-regression]
+               [--epochs N] [--period T] [--seed N] [--night-every K]
+               [--admission-limit N] [--threads N]
+               [--scenario diurnal|flash-crowd|regional-failover|partition-drift|
+                           read-write-inversion]
                [--drift CHANGE%:OBJECTS%:READSHARE] [--crash SITE@FROM..UNTIL]...
-               [--drop P] [--jitter J] [--report-out FILE] [--trace-out FILE]
-               [--wal-dir DIR [--recover] [--checkpoint-every K]]";
+               [--drop P] [--jitter J] [--oracle]
+               [--report-out FILE] [--trace-out FILE]
+               [--wal-dir DIR [--recover] [--checkpoint-every K]]
+               (--scenario excludes --drift/--crash/--drop/--jitter;
+                --oracle excludes --wal-dir)";
 
 /// Parses and executes one command line, returning its stdout text.
 ///

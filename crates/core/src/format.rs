@@ -200,12 +200,17 @@ pub fn read_instance(text: &str) -> Result<Problem, FormatError> {
     parser.header("drp-instance v1")?;
     let m = parser.scalar("sites")?;
     let n = parser.scalar("objects")?;
-    let costs = parser.numbers("costs", m * m)?;
+    let (Some(cells), Some(traffic)) = (m.checked_mul(m), m.checked_mul(n)) else {
+        return Err(FormatError::Invalid {
+            reason: format!("a {m}x{n} instance is too large"),
+        });
+    };
+    let costs = parser.numbers("costs", cells)?;
     let capacities = parser.numbers("capacities", m)?;
     let sizes = parser.numbers("sizes", n)?;
     let primaries = parser.numbers("primaries", n)?;
-    let reads = parser.numbers("reads", m * n)?;
-    let writes = parser.numbers("writes", m * n)?;
+    let reads = parser.numbers("reads", traffic)?;
+    let writes = parser.numbers("writes", traffic)?;
 
     let costs = CostMatrix::from_rows(m, costs).map_err(|e| FormatError::Invalid {
         reason: e.to_string(),
@@ -449,6 +454,42 @@ mod tests {
         let text = "drp-scheme v1\nsites 5\nobjects 2\nobject 0 replicas 0\nobject 1 replicas 2\n";
         assert!(matches!(
             read_scheme(text, &p),
+            Err(FormatError::Invalid { .. })
+        ));
+    }
+
+    #[test]
+    fn near_max_costs_give_a_result_or_a_typed_error() {
+        let instance = |costs: [u64; 9]| {
+            let costs: Vec<String> = costs.iter().map(u64::to_string).collect();
+            format!(
+                "drp-instance v1\nsites 3\nobjects 1\ncosts {}\ncapacities 9 9 9\n\
+                 sizes 1\nprimaries 0\nreads 1 1 1\nwrites 0 0 0\n",
+                costs.join(" ")
+            )
+        };
+        // A metric whose pairwise sums overflow u64.
+        let x = u64::MAX - 1;
+        match read_instance(&instance([0, x, x, x, 0, x, x, x, 0])) {
+            Ok(p) => assert_eq!(p.costs().cost(0, 2), x),
+            Err(FormatError::Invalid { reason }) => {
+                assert!(!reason.contains("triangle"), "{reason}");
+            }
+            Err(other) => panic!("unexpected error {other}"),
+        }
+        // C(0,2) exceeds C(0,1) + C(1,2) = u64::MAX - 2 by one.
+        let (a, b) = (u64::MAX / 2, u64::MAX / 2 - 1);
+        match read_instance(&instance([0, a, x, a, 0, b, x, b, 0])) {
+            Err(FormatError::Invalid { reason }) => assert!(
+                reason.ends_with("triangle inequality violated: C(0,2) > C(0,1) + C(1,2)"),
+                "{reason}"
+            ),
+            other => panic!("expected a triangle violation, got {other:?}"),
+        }
+        // A site count whose cost table overflows usize.
+        let huge = "drp-instance v1\nsites 18446744073709551615\nobjects 3\ncosts 0\n";
+        assert!(matches!(
+            read_instance(huge),
             Err(FormatError::Invalid { .. })
         ));
     }

@@ -88,6 +88,11 @@ impl CostMatrix {
         })
     }
 
+    /// Checks the shape invariants, then the triangle inequality with
+    /// [`triangle_holds`] over the narrowest lane that cannot overflow:
+    /// an `i16` copy when every entry is at most half that lane's maximum,
+    /// otherwise the `u64` table itself with a saturating add. The copy is
+    /// dropped before returning.
     fn validate(&self) -> Result<()> {
         let m = self.num_sites;
         for i in 0..m {
@@ -109,10 +114,32 @@ impl CostMatrix {
                 }
             }
         }
+        // Every entry is at most the lane's bound, so the casts are exact.
+        let max = self.costs.iter().copied().max().unwrap_or(0);
+        let holds = if max <= I16_LANE_MAX {
+            let narrow: Vec<i16> = self.costs.iter().map(|&c| c as i16).collect();
+            triangle_holds(&narrow, m, |a, b| a + b)
+        } else {
+            triangle_holds(&self.costs, m, u64::saturating_add)
+        };
+        if holds {
+            Ok(())
+        } else {
+            self.first_triangle_violation()
+        }
+    }
+
+    /// The scalar reference scan behind [`triangle_holds`]: walks pivots
+    /// `k`, then rows `i`, then columns `j`, and reports the first violated
+    /// `C(i,j) > C(i,k) + C(k,j)`. Only runs once the fast kernel has found
+    /// a violation, to name the witness.
+    #[cold]
+    fn first_triangle_violation(&self) -> Result<()> {
+        let m = self.num_sites;
         for k in 0..m {
             for i in 0..m {
                 for j in 0..m {
-                    if self.cost(i, j) > self.cost(i, k) + self.cost(k, j) {
+                    if self.cost(i, j) > self.cost(i, k).saturating_add(self.cost(k, j)) {
                         return Err(NetError::InvalidMatrix {
                             reason: format!(
                                 "triangle inequality violated: C({i},{j}) > C({i},{k}) + C({k},{j})"
@@ -177,6 +204,52 @@ impl CostMatrix {
     }
 }
 
+/// Largest entry for which [`CostMatrix::validate`] checks triangles on an
+/// `i16` copy: any sum of two entries then fits the lane. The lane is
+/// signed because SSE2, the x86-64 baseline, compares signed 16-bit lanes
+/// natively but has no unsigned compare.
+const I16_LANE_MAX: u64 = (i16::MAX / 2) as u64;
+
+/// Pivots per block of [`triangle_holds`]: 16 pivot rows stay cache
+/// resident while each row `i` streams through once per block.
+const TRIANGLE_BLOCK: usize = 16;
+
+/// Whether the symmetric row-major `m × m` matrix `c` satisfies every
+/// triangle inequality `C(i,j) ≤ C(i,k) + C(k,j)`.
+///
+/// Symmetry makes the `(i, j)` and `(j, i)` conditions identical and the
+/// diagonal is zero, so only the upper half `j > i` is scanned. For each
+/// pair `(i, k)` the row slices are compared with a branchless fold that
+/// vectorises; the result is tested once per row and pivot block.
+/// `add` must never wrap: a plain add over a lane where every entry is at
+/// most half the lane's maximum, or a saturating add (a saturated sum can
+/// never be exceeded, so the verdict stays exact).
+fn triangle_holds<T>(c: &[T], m: usize, add: impl Fn(T, T) -> T) -> bool
+where
+    T: Copy + Ord,
+{
+    for first in (0..m).step_by(TRIANGLE_BLOCK) {
+        let pivots = first..(first + TRIANGLE_BLOCK).min(m);
+        for i in 0..m {
+            let row_i = &c[i * m..(i + 1) * m];
+            let upper_i = &row_i[i + 1..];
+            let mut violated = false;
+            for k in pivots.clone() {
+                let through = row_i[k];
+                let upper_k = &c[k * m + i + 1..(k + 1) * m];
+                violated |= upper_i
+                    .iter()
+                    .zip(upper_k)
+                    .fold(false, |v, (&a, &b)| v | (a > add(through, b)));
+            }
+            if violated {
+                return false;
+            }
+        }
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +295,76 @@ mod tests {
         // C(0,2)=10 > C(0,1)+C(1,2)=2
         let bad = CostMatrix::from_rows(3, vec![0, 1, 10, 1, 0, 1, 10, 1, 0]);
         assert!(matches!(bad, Err(NetError::InvalidMatrix { .. })));
+    }
+
+    fn reason(result: Result<CostMatrix>) -> String {
+        match result {
+            Err(NetError::InvalidMatrix { reason }) => reason,
+            other => panic!("expected InvalidMatrix, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn near_max_metric_is_accepted() {
+        // Every sum of two off-diagonal entries overflows u64; a plain add
+        // would panic in debug builds and report a violation in release.
+        let x = u64::MAX - 1;
+        let c = CostMatrix::from_rows(3, vec![0, x, x, x, 0, x, x, x, 0]).unwrap();
+        assert_eq!(c.cost(0, 2), x);
+    }
+
+    #[test]
+    fn near_max_violation_is_a_typed_error() {
+        // C(0,1) + C(1,2) = u64::MAX - 2 fits exactly; C(0,2) exceeds it by one.
+        let (a, b, x) = (u64::MAX / 2, u64::MAX / 2 - 1, u64::MAX - 1);
+        let bad = CostMatrix::from_rows(3, vec![0, a, x, a, 0, b, x, b, 0]);
+        assert_eq!(
+            reason(bad),
+            "triangle inequality violated: C(0,2) > C(0,1) + C(1,2)"
+        );
+    }
+
+    #[test]
+    fn witness_is_the_first_violation_in_k_i_j_order() {
+        // Violations: C(2,3) > C(2,0) + C(0,3) at pivot 0, and
+        // C(0,2) > C(0,1) + C(1,2) and C(2,3) > C(2,1) + C(1,3) at pivot 1.
+        // The kernel meets row 0 first; the witness is still pivot 0's.
+        #[rustfmt::skip]
+        let rows = vec![
+            0, 1, 5, 1,
+            1, 0, 1, 2,
+            5, 1, 0, 10,
+            1, 2, 10, 0,
+        ];
+        assert_eq!(
+            reason(CostMatrix::from_rows(4, rows)),
+            "triangle inequality violated: C(2,3) > C(2,0) + C(0,3)"
+        );
+    }
+
+    #[test]
+    fn every_lane_catches_a_violation_past_the_first_pivot_block() {
+        // A 40-site uniform metric, then C(37,38) lifted above the path
+        // through pivot 33 (in the third block) alone. The largest entry,
+        // 3·unit, sits on and just past the `i16` lane's bound.
+        let units = [1, I16_LANE_MAX / 3, I16_LANE_MAX / 3 + 1, u64::MAX / 3];
+        for unit in units {
+            let m = 40;
+            let mut rows: Vec<u64> = (0..m * m)
+                .map(|f| if f / m == f % m { 0 } else { 2 * unit })
+                .collect();
+            assert!(CostMatrix::from_rows(m, rows.clone()).is_ok());
+            for (i, j) in [(33, 37), (37, 33), (33, 38), (38, 33)] {
+                rows[i * m + j] = unit;
+            }
+            rows[37 * m + 38] = 3 * unit;
+            rows[38 * m + 37] = 3 * unit;
+            assert_eq!(
+                reason(CostMatrix::from_rows(m, rows)),
+                "triangle inequality violated: C(37,38) > C(37,33) + C(33,38)",
+                "unit {unit}"
+            );
+        }
     }
 
     #[test]
